@@ -18,7 +18,7 @@ All data traffic is accounted in :attr:`ContentBasedNetwork.data_stats`
 and control traffic (subscriptions, advertisements) in
 :attr:`ContentBasedNetwork.control_stats`.
 
-Fast path
+Data path
 ---------
 Publication is the dominant cost of every experiment, so steady-state
 publishes run on cached state: per stream the network memoizes the
@@ -43,10 +43,14 @@ surviving batch (:meth:`RoutingTable.decide_batch` /
 datagram.  Only *consecutive* same-stream datagrams are batched so the
 per-link traffic accounting accumulates in exactly the per-datagram
 order (float addition is order-sensitive); deliveries and stats are
-byte-identical to per-datagram :meth:`publish` calls.  Constructing
-with ``fast_path=False`` retains the pre-index behaviour (full profile
-scans, per-publish dict rebuilding) as the reference for equivalence
-tests and before/after benchmarks.
+byte-identical to per-datagram :meth:`publish` calls.  Runs of one take
+the scalar :meth:`_route` instead, which is markedly cheaper than a
+columnar batch of one.
+
+This is the only routing path.  The scan-every-profile reference it is
+checked against is :class:`repro.sim.oracle.ScanNetwork`, a subclass
+used by the equivalence tests, the chaos shadow twin and the publish
+benchmarks.
 """
 
 from __future__ import annotations
@@ -149,11 +153,6 @@ class ContentBasedNetwork:
         the streams they request (default) instead of flooding.
     use_subsumption:
         Enable covering-based routing-table aggregation.
-    fast_path:
-        Route publications through the per-stream routing index and the
-        epoch-versioned decision cache (default).  ``False`` keeps the
-        naive scan-every-profile path; deliveries and traffic accounting
-        are identical either way, only the work per datagram differs.
     """
 
     def __init__(
@@ -163,14 +162,12 @@ class ContentBasedNetwork:
         scope_to_advertisements: bool = True,
         use_subsumption: bool = False,
         stream_trees: Optional[Mapping[str, DisseminationTree]] = None,
-        fast_path: bool = True,
     ) -> None:
         self._tree = tree
         self.catalog = catalog if catalog is not None else Catalog()
         self.use_subsumption = use_subsumption
         self.scope_to_advertisements = scope_to_advertisements
         self._scope = scope_to_advertisements
-        self.fast_path = fast_path
         #: Optional per-stream dissemination trees ("the nodes in COSMOS
         #: are organized into multiple overlay dissemination trees").
         #: Streams not listed use the default tree; every tree must span
@@ -183,12 +180,7 @@ class ContentBasedNetwork:
                 )
         self._epoch = 0
         self._tables: Dict[NodeId, RoutingTable] = {
-            node: RoutingTable(
-                node,
-                use_subsumption,
-                use_index=fast_path,
-                on_change=self._bump_epoch,
-            )
+            node: RoutingTable(node, use_subsumption, on_change=self._bump_epoch)
             for node in tree.nodes
         }
         self._subscriptions: Dict[str, _Subscription] = {}
@@ -371,8 +363,9 @@ class ContentBasedNetwork:
         if subscription_id not in self._subscriptions:
             raise NetworkError(f"unknown subscription {subscription_id!r}")
         removed = self._subscriptions.pop(subscription_id)
+        streams = removed.profile.streams
         for tbl in self._tables.values():
-            tbl.remove(subscription_id)
+            tbl.remove(subscription_id, streams)
         if not self.use_subsumption:
             return
         # Covering aggregation may have suppressed other subscriptions'
@@ -454,8 +447,6 @@ class ContentBasedNetwork:
         """
         if node not in self._tables:
             raise NetworkError(f"unknown broker {node}")
-        if not self.fast_path:
-            return self._publish_scan(datagram, node)
         return self._route(datagram, node, self._facts_for(datagram.stream))
 
     def publish_many(
@@ -474,8 +465,6 @@ class ContentBasedNetwork:
         """
         if node not in self._tables:
             raise NetworkError(f"unknown broker {node}")
-        if not self.fast_path:
-            return [self._publish_scan(d, node) for d in datagrams]
         out: List[List[Delivery]] = []
         run: List[Datagram] = []
         run_stream: Optional[str] = None
@@ -496,7 +485,13 @@ class ContentBasedNetwork:
         node: NodeId,
         out: List[List[Delivery]],
     ) -> None:
-        """Route one consecutive same-stream run, appending to ``out``."""
+        """Route one consecutive same-stream run, appending to ``out``.
+
+        Dispatches on the run length the feed produced: a run of one
+        takes the scalar :meth:`_route`, because a columnar batch of one
+        pays the column and mask set-up for a single datagram (about
+        2.6x slower at the 10k-subscription gate tier).
+        """
         facts = self._facts_for(stream)
         if len(run) == 1:
             out.append(self._route(run[0], node, facts))
@@ -506,7 +501,7 @@ class ContentBasedNetwork:
     def _route(
         self, datagram: Datagram, node: NodeId, facts: _StreamFacts
     ) -> List[Delivery]:
-        """The indexed hot path: candidate interfaces from the routing
+        """The scalar hot path: candidate interfaces from the routing
         index, cached widths/neighbours, per-copy size computed once."""
         widths = facts.widths
         record = self.data_stats.record
@@ -615,37 +610,6 @@ class ContentBasedNetwork:
                     stack.append(
                         (neighbor, here, sub_indices, sub_currents, sub_sizes)
                     )
-        return deliveries
-
-    def _publish_scan(self, datagram: Datagram, node: NodeId) -> List[Delivery]:
-        """The pre-index reference path: every profile behind every
-        interface is evaluated and per-publish state is rebuilt."""
-        widths = self._widths_for(datagram.stream)
-        tree = self.tree_for(datagram.stream)
-        deliveries: List[Delivery] = []
-        #: (broker to process, interface it arrived from, datagram copy)
-        stack: List[Tuple[NodeId, Optional[NodeId], Datagram]] = [
-            (node, None, datagram)
-        ]
-        while stack:
-            here, arrived_from, current = stack.pop()
-            table = self._tables[here]
-            for sid, projected in table.local_deliveries(current):
-                deliveries.append(Delivery(sid, here, projected))
-            for neighbor in sorted(tree.neighbors(here)):
-                if neighbor == arrived_from:
-                    continue
-                decision = table.decide(neighbor, current)
-                if not decision.forward:
-                    continue
-                if decision.attributes is None:
-                    outgoing = current
-                else:
-                    outgoing = current.project(decision.attributes)
-                self.data_stats.record(
-                    here, neighbor, outgoing.size_bytes(widths)
-                )
-                stack.append((neighbor, here, outgoing))
         return deliveries
 
     def _widths_for(self, stream: str) -> Optional[Dict[str, int]]:

@@ -12,8 +12,8 @@ installed profile that is subsumed by an existing one on the same
 interface is not stored (and does not need further propagation), the
 classic CBN optimisation (Siena-style covering).
 
-Fast path
----------
+Routing index
+-------------
 Matching is the hot operation of the whole system: every datagram hop
 evaluates the profiles behind every interface.  The table therefore
 maintains a **per-(interface, stream) index**: each entry is indexed
@@ -29,11 +29,12 @@ upper bound the remaining entries cannot change the decision either.
 
 Every mutation bumps :attr:`RoutingTable.epoch`; compiled state is
 rebuilt lazily when versions move, and the owning network layer uses
-the same signal (via ``on_change``, which now reports the *streams* a
-mutation touched) to invalidate its own per-stream caches.
-Constructing the table with ``use_index=False`` keeps the pre-index
-scan-everything behaviour, used as the reference implementation by the
-equivalence property tests and the before/after benchmarks.
+the same signal (via ``on_change``, which reports the *streams* a
+mutation touched) to invalidate its own per-stream caches.  The
+scan-every-entry reference these paths are checked against is
+:class:`repro.sim.oracle.ScanNetwork`, which reads only the public
+entry views (:meth:`RoutingTable.entries`,
+:meth:`RoutingTable.local_profiles`).
 
 Columnar batch path
 -------------------
@@ -61,12 +62,14 @@ shards), not O(all streams).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import (
     Callable,
     Dict,
     FrozenSet,
     Iterable,
     List,
+    Mapping,
     Optional,
     Set,
     Tuple,
@@ -187,12 +190,10 @@ class RoutingTable:
         self,
         node: NodeId,
         use_subsumption: bool = False,
-        use_index: bool = True,
         on_change: Optional[Callable[[Optional[FrozenSet[str]]], None]] = None,
     ) -> None:
         self.node = node
         self._use_subsumption = use_subsumption
-        self._use_index = use_index
         #: Invoked after every state mutation with the streams the
         #: mutation touched (``None`` when unattributable); the network
         #: layer hooks its shard-scoped cache invalidation here.
@@ -288,25 +289,25 @@ class RoutingTable:
         self._touch(touched)
         return True
 
-    def remove(self, subscription_id: str) -> None:
+    def remove(self, subscription_id: str, streams: Iterable[str] = ()) -> None:
         """Drop a subscription from every interface.
 
-        Also removes the per-stream forwarding entries the network
-        layer installs under ``"<id>#<stream>"`` composite keys.
+        Removes the local entry keyed ``subscription_id`` and the
+        per-stream forwarding entries the network layer installs under
+        ``"<id>#<stream>"`` for each of ``streams`` — exactly those
+        keys, so a live subscription whose id merely extends this one
+        (``"a#b"`` when removing ``"a"``) keeps its entries.
         """
-        prefix = subscription_id + "#"
+        keys = [subscription_id] + [f"{subscription_id}#{s}" for s in streams]
         touched: Set[str] = set()
         changed = False
         for interface, entries in self._entries.items():
-            doomed = [
-                key
-                for key in entries
-                if key == subscription_id or key.startswith(prefix)
-            ]
-            for key in doomed:
-                touched.update(entries[key].streams)
-                self._unindex_entry(interface, key, entries[key])
-                del entries[key]
+            for key in keys:
+                profile = entries.pop(key, None)
+                if profile is None:
+                    continue
+                touched.update(profile.streams)
+                self._unindex_entry(interface, key, profile)
                 changed = True
         if changed:
             self._touch(touched)
@@ -320,15 +321,15 @@ class RoutingTable:
                 touched.update(profile.streams)
             self._touch(touched)
 
-    def profiles(self, interface: object) -> List[Profile]:
-        return list(self._entries.get(interface, {}).values())
+    def entries(self, interface: object) -> Mapping[str, Profile]:
+        """Read-only view of entry-id -> profile behind one interface,
+        in install order.  A view, not a copy: the scan reference reads
+        it once per hop and must not pay a copy the index path never
+        pays."""
+        return MappingProxyType(self._entries.get(interface, {}))
 
-    def entries(self, interface: object) -> Dict[str, Profile]:
-        """Entry-id -> profile behind one interface, in install order."""
-        return dict(self._entries.get(interface, {}))
-
-    def local_profiles(self) -> Dict[str, Profile]:
-        return dict(self._entries.get(self.LOCAL, {}))
+    def local_profiles(self) -> Mapping[str, Profile]:
+        return self.entries(self.LOCAL)
 
     @property
     def interfaces(self) -> List[object]:
@@ -387,8 +388,6 @@ class RoutingTable:
     def decide(self, interface: object, datagram: Datagram) -> ForwardDecision:
         """Should ``datagram`` be forwarded on ``interface``, and with
         which attributes retained?"""
-        if not self._use_index:
-            return self._decide_scan(interface, datagram)
         compiled, any_wants_all, bound = self._plan(interface, datagram.stream)
         if not compiled:
             return ForwardDecision(False)
@@ -423,11 +422,6 @@ class RoutingTable:
         for the whole batch instead of one scalar evaluation per
         datagram.
         """
-        if not self._use_index:
-            return [
-                self._decide_scan(interface, datagram)
-                for datagram in batch.datagrams
-            ]
         compiled, __, __ = self._plan(interface, batch.stream)
         n = batch.n
         if not compiled:
@@ -462,48 +456,15 @@ class RoutingTable:
                 decisions.append(ForwardDecision(True, frozenset(needed[index])))
         return decisions
 
-    def _decide_scan(self, interface: object, datagram: Datagram) -> ForwardDecision:
-        """The pre-index reference path: evaluate every profile behind
-        the interface, whatever streams it requests."""
-        needed: Set[str] = set()
-        wants_all = False
-        forward = False
-        for profile in self._entries.get(interface, {}).values():
-            if not profile.covers(datagram):
-                continue
-            forward = True
-            projection = profile.projection_for(datagram.stream)
-            if projection == ALL_ATTRIBUTES:
-                wants_all = True
-            else:
-                needed |= projection
-                # Keep attributes the downstream filters evaluate, or the
-                # profile could no longer recognise the datagram at the
-                # next hop after projection.
-                for flt in profile.filters_for(datagram.stream):
-                    needed |= flt.condition.referenced_terms()
-        if not forward:
-            return ForwardDecision(False)
-        if wants_all:
-            return ForwardDecision(True, None)
-        return ForwardDecision(True, frozenset(needed))
-
     def local_deliveries(
         self, datagram: Datagram
     ) -> List[Tuple[str, Datagram]]:
         """(subscription_id, projected datagram) for local matches."""
-        if not self._use_index:
-            out: List[Tuple[str, Datagram]] = []
-            for sid, profile in self._entries.get(self.LOCAL, {}).items():
-                projected = profile.apply(datagram)
-                if projected is not None:
-                    out.append((sid, projected))
-            return out
         compiled, __, __ = self._plan(self.LOCAL, datagram.stream)
         if not compiled:
             return []
         payload = datagram.payload
-        out = []
+        out: List[Tuple[str, Datagram]] = []
         for entry in compiled:
             if not entry.covers(payload):
                 continue
@@ -524,11 +485,6 @@ class RoutingTable:
         subscriptions: per datagram, each distinct projection set is
         materialised once and reused by every entry requesting it.
         """
-        if not self._use_index:
-            return [
-                self.local_deliveries(datagram)
-                for datagram in batch.datagrams
-            ]
         compiled, __, __ = self._plan(self.LOCAL, batch.stream)
         out: List[List[Tuple[str, Datagram]]] = [[] for __ in range(batch.n)]
         if not compiled:

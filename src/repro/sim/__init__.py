@@ -4,9 +4,11 @@ Layered on the repo's own building blocks — the
 :class:`~repro.system.events.EventSimulator` for global time ordering,
 the real fault-tolerance entry points for crash/repair — this package
 turns a single seed into a fully resolved chaos schedule (lossy source
-links, broker/processor crashes), executes it against fast-path/naive
-twin systems, and checks delivery against an oracle that computes
-ground truth directly from the queries and the effective input feed.
+links, broker/processor crashes), executes it against a production
+system and its scan-router twin
+(:class:`~repro.sim.oracle.ScanCosmosSystem`), and checks delivery
+against an oracle that computes ground truth directly from the queries
+and the effective input feed.
 Failing seeds replay byte-identically and shrink to minimal schedules.
 """
 

@@ -1,8 +1,9 @@
 """The virtual network: chaos schedules executed against twin systems.
 
 :class:`VirtualNetwork` wraps a pair of :class:`CosmosSystem` twins —
-one routing through the CBN's indexed fast path, one through the naive
-reference scan — and drives both through the *same* resolved chaos
+the production system, and a
+:class:`~repro.sim.oracle.ScanCosmosSystem` shadow routing on the
+scan-router reference — and drives both through the *same* resolved chaos
 schedule via the :class:`~repro.system.events.EventSimulator`'s
 ``step()`` API.  Tuple injections go end to end through
 ``CosmosSystem.publish``; crash events route through the real
@@ -58,6 +59,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.cbn.datagram import Datagram
+from repro.sim.oracle import ScanCosmosSystem
 from repro.sim.schedule import (
     ChaosEvent,
     DropEvent,
@@ -124,9 +126,11 @@ class VirtualNetwork:
     """Twin COSMOS systems driven by one chaos schedule.
 
     ``build`` provisions one complete system (topology, tree, sources,
-    queries) and must be deterministic in everything except the
-    ``fast_path`` flag it receives — the twins *must* be structurally
-    identical for the fast-vs-naive oracle to be meaningful.
+    queries) and must be deterministic in everything except the system
+    class it receives — :class:`CosmosSystem` for the primary,
+    :class:`~repro.sim.oracle.ScanCosmosSystem` for the shadow.  The
+    twins *must* be structurally identical for the production-vs-scan
+    oracle to be meaningful.
     """
 
     build: Callable[..., CosmosSystem]
@@ -161,8 +165,10 @@ class VirtualNetwork:
                 "migrate=True requires recovery=True (zero-loss "
                 "migration rides the recovery ordering stage)"
             )
-        self.primary = self.build(fast_path=True)
-        self.shadow = self.build(fast_path=False) if self.check_fast_path else None
+        self.primary = self.build(CosmosSystem)
+        self.shadow = (
+            self.build(ScanCosmosSystem) if self.check_fast_path else None
+        )
         self._crashed: Dict[int, str] = {}
         #: Ordering stage: released-but-unpublished (sent, stream, seq,
         #: payload), flushed to the SPE in send-time order at batch end.

@@ -20,23 +20,123 @@ means the invariant holds):
   are mutually consistent and live on surviving nodes;
 * :func:`check_chronology` — each query's result timestamps are
   non-decreasing (re-homing must preserve result chronology);
-* :func:`compare_systems` — the fast-path twin delivered exactly what
-  the naive-scan twin delivered (per-query sequences and traffic
+* :func:`compare_systems` — the production twin delivered exactly what
+  the scan-router twin delivered (per-query sequences and traffic
   accounting).
+
+:class:`ScanNetwork` is the scan-router reference itself: a
+:class:`~repro.cbn.network.ContentBasedNetwork` whose publications
+evaluate every profile behind every interface, with no routing index,
+compiled plans or cached facts.  :class:`ScanCosmosSystem` builds (and
+rebuilds after a tree repair) on it; the chaos shadow twin, the
+equivalence tests and the publish benchmarks all compare production
+against this one reference.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.cbn.datagram import Datagram
+from repro.cbn.filters import ALL_ATTRIBUTES, Profile
+from repro.cbn.network import ContentBasedNetwork, Delivery
+from repro.cbn.routing import ForwardDecision
 from repro.cql.ast import ContinuousQuery
 from repro.cql.schema import Catalog
+from repro.overlay.topology import NodeId
 from repro.sim.schedule import ChaosEvent, DropEvent, InjectEvent
 from repro.system.cosmos import CosmosSystem, QueryStatus
 
 #: One expected delivery: (payload under qualified names, timestamp).
 ExpectedResult = Tuple[Dict[str, object], float]
+
+
+def scan_decide(
+    entries: Mapping[str, Profile], datagram: Datagram
+) -> ForwardDecision:
+    """The reference forwarding decision: evaluate every profile behind
+    the interface, whatever streams it requests."""
+    needed: Set[str] = set()
+    wants_all = False
+    forward = False
+    for profile in entries.values():
+        if not profile.covers(datagram):
+            continue
+        forward = True
+        projection = profile.projection_for(datagram.stream)
+        if projection == ALL_ATTRIBUTES:
+            wants_all = True
+        else:
+            needed |= projection
+            # Keep attributes the downstream filters evaluate, or the
+            # profile could no longer recognise the datagram at the
+            # next hop after projection.
+            for flt in profile.filters_for(datagram.stream):
+                needed |= flt.condition.referenced_terms()
+    if not forward:
+        return ForwardDecision(False)
+    if wants_all:
+        return ForwardDecision(True, None)
+    return ForwardDecision(True, frozenset(needed))
+
+
+class ScanNetwork(ContentBasedNetwork):
+    """The scan-every-profile reference router.
+
+    Subscription, advertisement and routing-table maintenance are the
+    production code; only publication differs.  Each hop evaluates
+    every local profile and every profile behind every tree neighbour
+    through the tables' public entry views, and per-publish state
+    (schema widths, the stream's tree) is rebuilt from scratch.
+    """
+
+    def publish(self, datagram: Datagram, node: NodeId) -> List[Delivery]:
+        self.table(node)  # NetworkError for an unknown broker
+        return self._publish_scan(datagram, node)
+
+    def publish_many(
+        self, datagrams: Iterable[Datagram], node: NodeId
+    ) -> List[List[Delivery]]:
+        self.table(node)
+        return [self._publish_scan(d, node) for d in datagrams]
+
+    def _publish_scan(self, datagram: Datagram, node: NodeId) -> List[Delivery]:
+        widths = self._widths_for(datagram.stream)
+        tree = self.tree_for(datagram.stream)
+        deliveries: List[Delivery] = []
+        #: (broker to process, interface it arrived from, datagram copy)
+        stack: List[Tuple[NodeId, Optional[NodeId], Datagram]] = [
+            (node, None, datagram)
+        ]
+        while stack:
+            here, arrived_from, current = stack.pop()
+            table = self.table(here)
+            for sid, profile in table.local_profiles().items():
+                projected = profile.apply(current)
+                if projected is not None:
+                    deliveries.append(Delivery(sid, here, projected))
+            for neighbor in sorted(tree.neighbors(here)):
+                if neighbor == arrived_from:
+                    continue
+                decision = scan_decide(table.entries(neighbor), current)
+                if not decision.forward:
+                    continue
+                if decision.attributes is None:
+                    outgoing = current
+                else:
+                    outgoing = current.project(decision.attributes)
+                self.data_stats.record(
+                    here, neighbor, outgoing.size_bytes(widths)
+                )
+                stack.append((neighbor, here, outgoing))
+        return deliveries
+
+
+class ScanCosmosSystem(CosmosSystem):
+    """A COSMOS system routing on :class:`ScanNetwork` (the chaos
+    shadow twin); tree repairs rebuild it on the same class."""
+
+    network_type = ScanNetwork
 
 
 def pristine_feed_from_events(
@@ -229,7 +329,8 @@ def check_chronology(system: CosmosSystem) -> List[str]:
 
 
 def compare_systems(fast: CosmosSystem, naive: CosmosSystem) -> List[str]:
-    """The indexed fast path delivered exactly what the naive scan did."""
+    """The production system delivered exactly what its
+    :class:`ScanCosmosSystem` twin did."""
     violations: List[str] = []
     fast_ids = sorted(fast._queries)
     naive_ids = sorted(naive._queries)

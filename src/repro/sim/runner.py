@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import barabasi_albert
@@ -201,20 +201,20 @@ def query_ids(config: ChaosConfig) -> List[str]:
     return [query_id for query_id, __ in _queries(config)]
 
 
-def build_system(config: ChaosConfig, fast_path: bool = True) -> CosmosSystem:
+def build_system(
+    config: ChaosConfig, system_type: Type[CosmosSystem] = CosmosSystem
+) -> CosmosSystem:
     """Provision one chaos twin: topology, tree, sources and queries.
 
-    Pure in everything but ``fast_path`` — the VirtualNetwork calls this
-    twice to get structurally identical twins.
+    Pure in everything but ``system_type`` — the VirtualNetwork calls
+    this twice (production and scan-router shadow) to get structurally
+    identical twins.
     """
     layout = _layout(config)
     topology = barabasi_albert(config.n_nodes, 2, config.rng("topology"))
     tree = DisseminationTree.minimum_spanning(topology)
-    system = CosmosSystem(
-        tree,
-        processor_nodes=layout["processors"],
-        topology=topology,
-        fast_path=fast_path,
+    system = system_type(
+        tree, processor_nodes=layout["processors"], topology=topology
     )
     for schema in layout["schemas"]:
         system.add_source(schema, layout["source_nodes"][schema.name])
@@ -424,7 +424,7 @@ def run_schedule(
     suppressed, reorderings repaired, with zero tolerated losses.
     """
     vnet = VirtualNetwork(
-        build=lambda fast_path: build_system(config, fast_path=fast_path),
+        build=lambda system_type: build_system(config, system_type),
         check_fast_path=config.check_fast_path,
         recovery=config.recovery,
         migrate=config.migrate,

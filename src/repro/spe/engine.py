@@ -13,8 +13,11 @@ Supported query shapes (the fragment the paper's query layer targets):
 * select-project-join over n windowed streams (Lemma 1 semantics);
 * grouped/global aggregation over one windowed stream.
 
-Join+aggregate in one query is not supported (the paper's experiments
-never need it); registering one raises :class:`EngineError`.
+Every join runs on the nested-loop
+:class:`~repro.spe.operators.SymmetricWindowJoin`, the engine's one join
+implementation.  Join+aggregate in one query is not supported (the
+paper's experiments never need it); registering one raises
+:class:`EngineError`.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class _CompiledQuery:
         query: ContinuousQuery,
         catalog: Catalog,
         result_stream: str,
-        join_strategy: str = "nested",
     ) -> None:
         self.name = name
         self.query = query
@@ -94,33 +96,13 @@ class _CompiledQuery:
                 pre_filter=query.predicate,
             )
         else:
-            self._join = self._build_join(query, join_strategy)
+            self._join = SymmetricWindowJoin(
+                [JoinInput(ref.name, ref.window.size) for ref in query.streams]
+            )
             columns = {
                 attr.key: attr.key for attr in query.projected_attributes(catalog)
             }
             self._project = Project(columns)
-
-    @staticmethod
-    def _build_join(query: ContinuousQuery, strategy: str):
-        """Pick the join implementation.
-
-        ``"indexed"`` uses the hash-probing join for two-way equijoins
-        (falling back to the nested-loop join otherwise); ``"nested"``
-        always uses the nested-loop join.  Both have identical Lemma 1
-        semantics.
-        """
-        inputs = [JoinInput(ref.name, ref.window.size) for ref in query.streams]
-        if strategy == "indexed" and len(inputs) == 2:
-            from repro.spe.indexed import IndexedSymmetricJoin, equijoin_key_pairs
-
-            pairs = equijoin_key_pairs(
-                query.predicate, inputs[0].qualifier, inputs[1].qualifier
-            )
-            if pairs:
-                return IndexedSymmetricJoin(inputs[0], inputs[1], pairs)
-        elif strategy not in ("nested", "indexed"):
-            raise EngineError(f"unknown join strategy {strategy!r}")
-        return SymmetricWindowJoin(inputs)
 
     def feed(self, stream: str, datagram: Datagram) -> List[Datagram]:
         qualifier = self.inputs.get(stream)
@@ -152,11 +134,8 @@ class StreamProcessingEngine:
         Schemas of the source streams queries may reference.
     """
 
-    def __init__(self, catalog: Catalog, join_strategy: str = "nested") -> None:
-        if join_strategy not in ("nested", "indexed"):
-            raise EngineError(f"unknown join strategy {join_strategy!r}")
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.join_strategy = join_strategy
         self._queries: Dict[str, _CompiledQuery] = {}
         self._by_stream: Dict[str, List[_CompiledQuery]] = {}
         self._counter = itertools.count()
@@ -182,9 +161,7 @@ class StreamProcessingEngine:
         query.validate(self.catalog)
         if result_stream is None:
             result_stream = f"{name}:results"
-        compiled = _CompiledQuery(
-            name, query, self.catalog, result_stream, self.join_strategy
-        )
+        compiled = _CompiledQuery(name, query, self.catalog, result_stream)
         self._queries[name] = compiled
         for stream in compiled.inputs:
             self._by_stream.setdefault(stream, []).append(compiled)

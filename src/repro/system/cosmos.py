@@ -102,11 +102,12 @@ class CosmosSystem:
         Run the static analyzer (schema + satisfiability families) on
         every submitted query and reject submissions with errors by
         raising :class:`SystemError_` before anything is installed.
-    fast_path:
-        Route publications through the CBN's indexed fast path
-        (default); ``False`` keeps the naive reference path for
-        equivalence checks and before/after measurements.
     """
+
+    #: The CBN class the system builds (and rebuilds after a tree
+    #: repair).  A subclass may swap in a reference network; the chaos
+    #: harness does so to run its scan-router shadow twin.
+    network_type = ContentBasedNetwork
 
     def __init__(
         self,
@@ -119,7 +120,6 @@ class CosmosSystem:
         use_subsumption: bool = False,
         per_source_trees: bool = False,
         static_check: bool = False,
-        fast_path: bool = True,
     ) -> None:
         if per_source_trees and topology is None:
             raise SystemError_("per_source_trees requires the topology")
@@ -130,11 +130,8 @@ class CosmosSystem:
         self.catalog = Catalog()
         self.cost_model = cost_model or CostModel()
         self.merging = merging
-        self.network = ContentBasedNetwork(
-            tree,
-            self.catalog,
-            use_subsumption=use_subsumption,
-            fast_path=fast_path,
+        self.network = self.network_type(
+            tree, self.catalog, use_subsumption=use_subsumption
         )
         self.processors: Dict[NodeId, Processor] = {}
         for node in processor_nodes:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.cbn.network import ContentBasedNetwork
 from repro.core.profiles import result_profile, source_profile
 from repro.overlay.tree import DisseminationTree
 
@@ -51,12 +50,12 @@ def rebuild_network(system: "CosmosSystem", tree: DisseminationTree) -> None:
 
     old_network = system.network
     system.tree = tree
-    system.network = ContentBasedNetwork(
+    # Same class as before: a reference network stays a reference.
+    system.network = type(old_network)(
         tree,
         system.catalog,
         scope_to_advertisements=old_network.scope_to_advertisements,
         use_subsumption=old_network.use_subsumption,
-        fast_path=old_network.fast_path,
     )
     system.network.data_stats.merge(old_network.data_stats)
     system.network.control_stats.merge(old_network.control_stats)

@@ -419,7 +419,7 @@ class ReliabilityState:
     """Everything the reliability layer knows about one deployment.
 
     One state object is deliberately shareable between twin systems
-    (fast-path / naive-scan): transport and detection decisions are
+    (production / scan-router reference): transport and detection decisions are
     made once and applied to both, so the twins cannot diverge on
     protocol nondeterminism.
     """

@@ -11,7 +11,7 @@
   selecting the involved streams, their window sizes and the filtering
   predicates based on a distribution (uniform or zipfian)");
 * :mod:`repro.workload.fastpath` — the matching-heavy publish workload
-  shared by the fast-path/columnar benchmarks and their pytest gates;
+  shared by the publish/columnar benchmarks and their pytest gates;
 * :mod:`repro.workload.bench` — the shared warm/timed/equivalence
   measurement harness those benchmarks run the workload through.
 """

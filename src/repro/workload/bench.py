@@ -7,7 +7,7 @@ and the artifacts measure the *same* procedures and cannot drift:
 
 * :func:`publish_loop` / :func:`publish_loop_time` drive a workload
   datagram-at-a-time through ``network.publish`` (the shape both the
-  naive reference and the scalar fast path are measured in);
+  scan-router reference and the scalar production path are measured in);
 * :func:`group_feed` folds a feed into consecutive same-``(stream,
   origin)`` runs and :func:`publish_batched` /
   :func:`publish_batched_time` drive those runs through

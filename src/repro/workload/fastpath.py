@@ -1,20 +1,24 @@
-"""Matching-heavy CBN publish workload for the fast-path benchmarks.
+"""Matching-heavy CBN publish workload for the publish benchmarks.
 
-One deterministic generator shared by ``benchmarks/test_microbench.py``
-and ``tools/bench_publish.py`` so the pytest speedup gate and the CI
-``BENCH_publish.json`` artifact measure the *same* workload: many
-SensorScope streams, hundreds of filtered/projecting subscriptions
-spread over a sizeable tree, and a feed replayed from each stream's
-publisher.  This is the regime the per-stream routing index targets —
-the naive path scans every routing entry behind an interface while the
-indexed path only touches the datagram's own stream bucket.
+One deterministic generator shared by ``benchmarks/test_microbench.py``,
+``tools/bench_publish.py`` and ``tools/bench_scale.py`` so the pytest
+speedup gates and the CI ``BENCH_*.json`` artifacts measure the *same*
+workload: many SensorScope streams, hundreds of filtered/projecting
+subscriptions spread over a sizeable tree, and a feed replayed from each
+stream's publisher.  This is the regime the per-stream routing index
+targets — a scan router scans every routing entry behind an interface
+while the production path only touches the datagram's own stream
+bucket.  The caller picks the network class: the production
+:class:`~repro.cbn.network.ContentBasedNetwork` (default) or a
+reference subclass such as the scan router the benchmarks compare
+against.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Tuple, Type
 
 from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
@@ -35,7 +39,7 @@ class FastPathWorkload:
 
 
 def build_fastpath_workload(
-    fast_path: bool,
+    network_type: Type[ContentBasedNetwork] = ContentBasedNetwork,
     n_streams: int = 24,
     n_subscriptions: int = 1200,
     n_nodes: int = 120,
@@ -45,11 +49,11 @@ def build_fastpath_workload(
     seed: int = 7,
     batch_size: int = 1,
 ) -> FastPathWorkload:
-    """Build the matching-heavy workload with the fast path on or off.
+    """Build the matching-heavy workload on a ``network_type`` network.
 
-    Everything is seeded, so ``fast_path=True`` and ``fast_path=False``
-    produce networks with byte-for-byte identical routing state and an
-    identical feed — the only difference is the publish path taken.
+    Everything is seeded, so any two network classes get byte-for-byte
+    identical routing state and an identical feed — the only difference
+    is the publish path the class takes.
 
     ``batch_size`` shapes the feed into contiguous same-stream runs of
     that length (a publisher emitting bursts), which is the regime the
@@ -62,7 +66,7 @@ def build_fastpath_workload(
     streams = catalog.stream_names[:n_streams]
     topology = barabasi_albert(n_nodes, 2, rng)
     tree = DisseminationTree.minimum_spanning(topology)
-    network = ContentBasedNetwork(tree, catalog.copy(), fast_path=fast_path)
+    network = network_type(tree, catalog.copy())
 
     setup = random.Random(seed + 1)
     for stream in streams:

@@ -7,6 +7,7 @@ from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork, NetworkError
 from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
+from repro.overlay.tree import DisseminationTree
 
 
 def cond(*atoms):
@@ -266,12 +267,35 @@ class TestFastPathCache:
         assert net.catalog.version > before
 
     def test_naive_mode_still_available(self, line_tree):
-        network = ContentBasedNetwork(line_tree, fast_path=False)
+        from repro.sim.oracle import ScanNetwork
+
+        network = ScanNetwork(line_tree)
         network.advertise("S", 0, SCHEMA)
         network.subscribe(Profile({"S": {"a"}}), 4, "u1")
         deliveries = network.publish(Datagram("S", {"a": 1, "b": 0.5}), 0)
         assert [d.subscription_id for d in deliveries] == ["u1"]
-        assert not network.fast_path
+        # The scan router never consults the per-stream decision cache.
+        assert network._facts == {}
+
+
+class TestUnsubscribe:
+    def test_unsubscribe_spares_ids_extending_the_removed_one(self):
+        """Removing ``"a"`` keeps the entries of a live ``"a#b"``:
+        forwarding keys are ``"<id>#<stream>"``, so ``"a#b"``'s keys start
+        with ``"a#"`` and only an exact-key removal spares them."""
+        edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]
+        tree = DisseminationTree(edges, {e: 1.0 for e in edges})
+        network = ContentBasedNetwork(tree)
+        network.advertise("S", 0, SCHEMA)
+        network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 5, "a")
+        network.subscribe(Profile({"S": ALL_ATTRIBUTES}), 3, "a#b")
+        datagram = Datagram("S", {"a": 1, "b": 0.5})
+        delivered = [d.subscription_id for d in network.publish(datagram, 0)]
+        assert sorted(delivered) == ["a", "a#b"]
+        network.unsubscribe("a")
+        assert sorted(network.subscriptions()) == ["a#b"]
+        delivered = [d.subscription_id for d in network.publish(datagram, 0)]
+        assert delivered == ["a#b"]
 
 
 class TestPublishMany:

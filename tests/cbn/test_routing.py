@@ -4,6 +4,7 @@ from repro.cbn.datagram import Datagram
 from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.routing import RoutingTable
 from repro.cql.predicates import Comparison, Conjunction
+from repro.sim.oracle import scan_decide
 
 
 def cond(*atoms):
@@ -28,6 +29,16 @@ class TestInstallRemove:
         table.remove("s1")
         assert not table.decide(1, Datagram("S", {"a": 1})).forward
         assert not table.decide(2, Datagram("S", {"a": 1})).forward
+
+    def test_remove_drops_exactly_the_named_stream_entries(self):
+        table = RoutingTable(0)
+        table.install(1, "a#S", profile({"a"}))
+        table.install(1, "a#T", profile({"a"}, stream="T"))
+        table.install(1, "a#b#S", profile({"a"}))
+        table.install(RoutingTable.LOCAL, "a", profile({"a"}))
+        table.remove("a", {"S"})
+        assert sorted(table.entries(1)) == ["a#T", "a#b#S"]
+        assert table.local_profiles() == {}
 
     def test_remove_interface(self):
         table = RoutingTable(0)
@@ -172,14 +183,12 @@ class TestStreamIndex:
             ("s2", profile(ALL_ATTRIBUTES, stream="T")),
             ("s3", profile({"b"}, Comparison("b", ">=", 2))),
         ]
-        indexed = RoutingTable(0, use_index=True)
-        plain = RoutingTable(0, use_index=False)
+        indexed = RoutingTable(0)
         for sid, prof in profiles:
             indexed.install(1, sid, prof)
-            plain.install(1, sid, prof)
         for datagram in datagrams:
             a = indexed.decide(1, datagram)
-            b = plain.decide(1, datagram)
+            b = scan_decide(indexed.entries(1), datagram)
             assert (a.forward, a.attributes) == (b.forward, b.attributes)
 
 

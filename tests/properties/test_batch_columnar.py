@@ -3,14 +3,14 @@
 ``publish_many`` routes each consecutive same-stream run through the
 compiled bucket plans *once per batch* — per-term columns, vectorized
 predicate masks, projection shared across a bucket's subscriptions.
-These properties pin the whole batch path to the naive per-datagram
-reference: for any random workload, any batch partitioning (size 1, 2,
+These properties pin the whole batch path to the per-datagram scan
+router (:class:`~repro.sim.oracle.ScanNetwork`): for any random workload, any batch partitioning (size 1, 2,
 odd, large), any interleaving of subscribes/unsubscribes between
 batches, and broker failures landing mid-feed, the deliveries are
 byte-identical (same subscribers, payloads and order) and the per-link
 traffic accounting agrees.
 
-Extends the fast==naive oracle of ``test_fastpath_properties.py`` to
+Extends the production==scan oracle of ``test_fastpath_properties.py`` to
 the batched entry points (:meth:`ContentBasedNetwork.publish_many`,
 :meth:`CosmosSystem.publish_batch`).
 """
@@ -29,6 +29,7 @@ from repro.cql.predicates import Comparison, Conjunction
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import barabasi_albert
 from repro.overlay.tree import DisseminationTree
+from repro.sim.oracle import ScanNetwork
 from repro.system.cosmos import CosmosSystem
 from repro.system.fault import FaultError, fail_broker
 
@@ -53,10 +54,10 @@ class TestColumnarBatchEquivalence:
     @settings(max_examples=60, deadline=None)
     def test_batch_partitionings_identical(self, tree, data):
         """Any chunking of a feed — singletons, pairs, odd sizes, one
-        big batch — delivers exactly what the naive loop delivers."""
+        big batch — delivers exactly what the scan loop delivers."""
         nodes = tree.nodes
-        fast = ContentBasedNetwork(tree, fast_path=True)
-        naive = ContentBasedNetwork(tree, fast_path=False)
+        fast = ContentBasedNetwork(tree)
+        naive = ScanNetwork(tree)
         publisher = data.draw(st.sampled_from(nodes), label="publisher")
         fast.advertise("S", publisher)
         naive.advertise("S", publisher)
@@ -89,10 +90,10 @@ class TestColumnarBatchEquivalence:
     def test_interleaved_mutations_and_batches(self, tree, data):
         """Subscribes/unsubscribes/advertises interleaved with batched
         publishes: the columnar plans revalidate against the mutated
-        routing state and still match the naive loop exactly."""
+        routing state and still match the scan loop exactly."""
         nodes = tree.nodes
-        fast = ContentBasedNetwork(tree, fast_path=True)
-        naive = ContentBasedNetwork(tree, fast_path=False)
+        fast = ContentBasedNetwork(tree)
+        naive = ScanNetwork(tree)
         advertisers = {}
         live = []
         counter = itertools.count()

@@ -113,27 +113,3 @@ class TestRoutingEquivalence:
 
         assert run(True) == run(False)
 
-
-class TestCodecProperties:
-    @given(random_profiles())
-    @settings(max_examples=60, deadline=None)
-    def test_profile_roundtrip(self, profile):
-        from repro.cbn.codec import decode_profile, encode_profile
-
-        assert decode_profile(encode_profile(profile)) == profile
-
-    @given(datagrams())
-    @settings(max_examples=60, deadline=None)
-    def test_datagram_roundtrip(self, datagram):
-        from repro.cbn.codec import decode_datagram, encode_datagram
-
-        assert decode_datagram(encode_datagram(datagram)) == datagram
-
-    @given(random_profiles(), datagrams())
-    @settings(max_examples=60, deadline=None)
-    def test_coverage_invariant_under_codec(self, profile, datagram):
-        from repro.cbn.codec import decode_profile, encode_profile
-
-        decoded = decode_profile(encode_profile(profile))
-        assert decoded.covers(datagram) == profile.covers(datagram)
-        assert decoded.apply(datagram) == profile.apply(datagram)

@@ -1,11 +1,12 @@
-"""The indexed fast path is observationally identical to the naive scan.
+"""The production data path is observationally identical to the scan router.
 
 The per-stream routing index, the epoch-versioned decision cache and the
 batched ``publish_many`` are pure optimisations: across any interleaving
-of advertise / subscribe / unsubscribe / publish operations, a network
-built with ``fast_path=True`` must produce exactly the deliveries (same
-subscribers, payloads and order), the same per-link ``data_stats`` and
-the same ``routing_state_size()`` as the pre-index reference path.
+of advertise / subscribe / unsubscribe / publish operations, the
+production :class:`ContentBasedNetwork` must produce exactly the
+deliveries (same subscribers, payloads and order), the same per-link
+``data_stats`` and the same ``routing_state_size()`` as the
+:class:`~repro.sim.oracle.ScanNetwork` reference.
 """
 
 import itertools
@@ -18,6 +19,7 @@ from repro.cbn.filters import ALL_ATTRIBUTES, Filter, Profile
 from repro.cbn.network import ContentBasedNetwork
 from repro.cql.predicates import Comparison, Conjunction
 from repro.overlay.tree import DisseminationTree
+from repro.sim.oracle import ScanNetwork
 
 ATTRS = ["a", "b", "c", "d"]
 STREAMS = ["S", "T"]
@@ -65,8 +67,8 @@ class TestFastPathEquivalence:
         """Fast and naive networks agree after every publish of any
         random advertise/subscribe/unsubscribe/publish interleaving."""
         nodes = tree.nodes
-        fast = ContentBasedNetwork(tree, fast_path=True)
-        naive = ContentBasedNetwork(tree, fast_path=False)
+        fast = ContentBasedNetwork(tree)
+        naive = ScanNetwork(tree)
         advertisers = {}
         live = []
         counter = itertools.count()
@@ -127,8 +129,8 @@ class TestFastPathEquivalence:
     ):
         """Batched publication equals datagram-at-a-time publication."""
         nodes = tree.nodes
-        fast = ContentBasedNetwork(tree, fast_path=True)
-        naive = ContentBasedNetwork(tree, fast_path=False)
+        fast = ContentBasedNetwork(tree)
+        naive = ScanNetwork(tree)
         publisher = data.draw(st.sampled_from(nodes), label="publisher")
         fast.advertise("S", publisher)
         naive.advertise("S", publisher)

@@ -78,35 +78,3 @@ class TestLemma1Oracle:
                     expected.add((ia, ib))
         assert produced == expected
 
-
-class TestIndexedJoinDifferential:
-    @given(interleaved_feed(), window_sizes, window_sizes, st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_indexed_join_matches_nested(self, feed, t_a, t_b, data):
-        """The hash-indexed engine is semantically identical to the
-        nested-loop engine on arbitrary equijoin feeds."""
-        from repro.cql.predicates import Conjunction, JoinPredicate
-        from repro.spe.indexed import IndexedSymmetricJoin
-        from repro.spe.operators import JoinInput, SymmetricWindowJoin
-
-        nested = SymmetricWindowJoin([JoinInput("A", t_a), JoinInput("B", t_b)])
-        indexed = IndexedSymmetricJoin(
-            JoinInput("A", t_a), JoinInput("B", t_b), [("k", "k")]
-        )
-        link = Conjunction.from_atoms([JoinPredicate("A.k", "B.k")])
-        counters = {"A": 0, "B": 0}
-        for stream, ts in feed:
-            key = data.draw(st.integers(0, 2), label="key")
-            ident = counters[stream]
-            counters[stream] += 1
-            datagram = Datagram(stream, {"k": key, "id": ident}, ts)
-            nested_out = sorted(
-                tuple(sorted(b.items()))
-                for b in nested.process(stream, datagram)
-                if link.evaluate(b)
-            )
-            indexed_out = sorted(
-                tuple(sorted(b.items()))
-                for b in indexed.process(stream, datagram)
-            )
-            assert nested_out == indexed_out

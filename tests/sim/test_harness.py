@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.cbn.network import ContentBasedNetwork
 from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, StreamSchema
 from repro.overlay.topology import Topology
 from repro.overlay.tree import DisseminationTree
 from repro.sim.network import VirtualNetwork
+from repro.sim.oracle import ScanCosmosSystem, ScanNetwork, compare_systems
 from repro.sim.runner import (
     ChaosConfig,
     build_system,
@@ -24,8 +26,8 @@ CONFIG = ChaosConfig(seed=11)
 
 class TestBuildSystem:
     def test_twins_are_structurally_identical(self):
-        fast = build_system(CONFIG, fast_path=True)
-        naive = build_system(CONFIG, fast_path=False)
+        fast = build_system(CONFIG)
+        naive = build_system(CONFIG, ScanCosmosSystem)
         assert sorted(fast.tree.edges) == sorted(naive.tree.edges)
         assert sorted(fast.network.subscriptions()) == sorted(
             naive.network.subscriptions()
@@ -82,7 +84,7 @@ class TestGenerateSchedule:
 class TestVirtualNetwork:
     def test_inject_reaches_both_twins(self):
         vnet = VirtualNetwork(
-            build=lambda fast_path: build_system(CONFIG, fast_path=fast_path)
+            build=lambda system_type: build_system(CONFIG, system_type)
         )
         event = InjectEvent(1.0, "Temp", (("celsius", 35.0), ("station", 0)))
         vnet.execute([event])
@@ -93,7 +95,7 @@ class TestVirtualNetwork:
         assert fast == naive
 
     def test_partitioned_repair_is_recorded_as_refused(self):
-        def build_line(fast_path=True):
+        def build_line(system_type=CosmosSystem):
             topo = Topology()
             for u, v in [(0, 1), (1, 2), (2, 3)]:
                 topo.add_edge(u, v, 1.0)
@@ -101,9 +103,7 @@ class TestVirtualNetwork:
                 [(0, 1), (1, 2), (2, 3)],
                 {(0, 1): 1.0, (1, 2): 1.0, (2, 3): 1.0},
             )
-            system = CosmosSystem(
-                tree, processor_nodes=[0], topology=topo, fast_path=fast_path
-            )
+            system = system_type(tree, processor_nodes=[0], topology=topo)
             system.add_source(
                 StreamSchema(
                     "Temp", [Attribute("station", "int", 0, 9)], rate=1.0
@@ -129,9 +129,35 @@ class TestVirtualNetwork:
         )
         assert vnet.primary.query("q").result_count == 1
 
+    def test_shadow_still_scans_after_broker_rebuild(self):
+        """A broker failure rebuilds both twins' networks; the shadow's
+        rebuild keeps the scan router and still agrees with production."""
+        for victim in sorted(
+            set(build_system(CONFIG).tree.nodes) - set(protected_nodes(CONFIG))
+        ):
+            vnet = VirtualNetwork(
+                build=lambda system_type: build_system(CONFIG, system_type)
+            )
+            before = vnet.shadow.network
+            vnet.execute([FaultEvent(1.0, "broker", victim)])
+            if vnet.counters.faults_applied:
+                break
+        assert vnet.counters.faults_applied == 1
+        assert vnet.shadow.network is not before
+        assert isinstance(vnet.shadow.network, ScanNetwork)
+        assert type(vnet.primary.network) is ContentBasedNetwork
+        vnet.execute(
+            [
+                InjectEvent(2.0 + i, "Temp", (("celsius", 35.0), ("station", i)))
+                for i in range(3)
+            ]
+        )
+        assert vnet.counters.deliveries > 0
+        assert compare_systems(vnet.primary, vnet.shadow) == []
+
     def test_fast_path_check_can_be_disabled(self):
         vnet = VirtualNetwork(
-            build=lambda fast_path: build_system(CONFIG, fast_path=fast_path),
+            build=lambda system_type: build_system(CONFIG, system_type),
             check_fast_path=False,
         )
         assert vnet.shadow is None

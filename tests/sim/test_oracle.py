@@ -6,6 +6,7 @@ from repro.cbn.datagram import Datagram
 from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, Catalog, StreamSchema
 from repro.sim.oracle import (
+    ScanCosmosSystem,
     check_chronology,
     check_ground_truth,
     check_no_orphans,
@@ -114,8 +115,8 @@ class TestSystemChecks:
         assert check_chronology(system)
 
     def test_twin_comparison(self):
-        fast = build_system(ChaosConfig(seed=1), fast_path=True)
-        naive = build_system(ChaosConfig(seed=1), fast_path=False)
+        fast = build_system(ChaosConfig(seed=1))
+        naive = build_system(ChaosConfig(seed=1), ScanCosmosSystem)
         assert compare_systems(fast, naive) == []
         fast.publish("Temp", {"station": 0, "celsius": 30.0}, 1.0)
         assert compare_systems(fast, naive)

@@ -1,11 +1,14 @@
 """The continuous query engine end to end."""
 
+import random
+
 import pytest
 
 from repro.cbn.datagram import Datagram
 from repro.cql.parser import parse_query
 from repro.cql.schema import Attribute, Catalog, StreamSchema
 from repro.spe.engine import EngineError, StreamProcessingEngine, result_schema
+from repro.workload.auction import TABLE1_Q3, auction_catalog
 
 
 @pytest.fixture
@@ -144,6 +147,49 @@ class TestJoin:
         spe2.register(q, "j")
         spe2.push(temp(0))
         assert spe2.push(wind(11)) == []
+
+    def test_table1_q3_over_auction_feed(self):
+        """Q3's equijoin over a seeded auction feed yields exactly the
+        Lemma 1 pairs: each close joins every same-item open from the
+        five hours before it."""
+        catalog = auction_catalog()
+        rng = random.Random(4)
+        feed = []
+        for item in range(60):
+            open_ts = item * 120.0
+            close_ts = open_ts + rng.expovariate(1.0 / (4 * 3600.0))
+            feed.append(
+                Datagram(
+                    "OpenAuction",
+                    {"itemID": item % 10, "sellerID": 1, "start_price": 2.0,
+                     "timestamp": open_ts},
+                    open_ts,
+                )
+            )
+            feed.append(
+                Datagram(
+                    "ClosedAuction",
+                    {"itemID": item % 10, "buyerID": 2, "timestamp": close_ts},
+                    close_ts,
+                )
+            )
+        feed.sort(key=lambda d: d.timestamp)
+        spe = StreamProcessingEngine(catalog)
+        spe.register(parse_query(TABLE1_Q3), "q3")
+        results = [r.datagram for d in feed for r in spe.push(d)]
+        opens = [d for d in feed if d.stream == "OpenAuction"]
+        expected = sorted(
+            (c.timestamp, o.timestamp)
+            for c in feed
+            if c.stream == "ClosedAuction"
+            for o in opens
+            if o.payload["itemID"] == c.payload["itemID"]
+            and 0.0 <= c.timestamp - o.timestamp <= 5 * 3600.0
+        )
+        assert expected
+        assert sorted(
+            (r.timestamp, r.payload["O.timestamp"]) for r in results
+        ) == expected
 
 
 class TestPushTo:

@@ -12,6 +12,7 @@ from repro.workload.auction import (
     OPEN_AUCTION_SCHEMA,
     TABLE1_Q1,
     TABLE1_Q2,
+    TABLE1_Q3,
 )
 
 
@@ -37,6 +38,27 @@ class TestStandaloneProcessor:
             Datagram("ClosedAuction", {"itemID": 1, "buyerID": 2, "timestamp": 60.0}, 60.0)
         )
         assert len(results) == 1
+
+    def test_q3_join_through_processor(self, auction_catalog):
+        """The processor's SPE joins Q3's open and close of one item
+        an hour apart into exactly one result."""
+        proc = Processor(1, auction_catalog)
+        proc.accept(parse_query(TABLE1_Q3), name="q3")
+        out = proc.on_source_data(
+            Datagram(
+                "OpenAuction",
+                {"itemID": 1, "sellerID": 1, "start_price": 1.0, "timestamp": 0.0},
+                0.0,
+            )
+        )
+        out += proc.on_source_data(
+            Datagram(
+                "ClosedAuction",
+                {"itemID": 1, "buyerID": 2, "timestamp": 3600.0},
+                3600.0,
+            )
+        )
+        assert len(out) == 1
 
     def test_group_scoped_feed(self, auction_catalog):
         proc = Processor(1, auction_catalog)

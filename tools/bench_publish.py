@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""CI benchmark smoke: CBN publish throughput, indexed vs naive.
+"""CI benchmark smoke: CBN publish throughput, production vs scan router.
 
 Runs the shared matching-heavy workload
-(:func:`repro.workload.fastpath.build_fastpath_workload`) once with the
-per-stream routing index + decision cache and once with the naive
-pre-index scan, checks the two paths produce byte-identical deliveries
-and per-link traffic, and writes ``BENCH_publish.json`` at the repo
-root::
+(:func:`repro.workload.fastpath.build_fastpath_workload`) once on the
+production :class:`~repro.cbn.network.ContentBasedNetwork` (per-stream
+routing index + decision cache) and once on the
+:class:`~repro.sim.oracle.ScanNetwork` reference, checks the two
+produce byte-identical deliveries and per-link traffic, and writes
+``BENCH_publish.json`` at the repo root::
 
     {
       "workload": {...},
@@ -32,6 +33,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
+from repro.sim.oracle import ScanNetwork  # noqa: E402
 from repro.workload.bench import (  # noqa: E402
     best_of,
     publish_loop,
@@ -50,8 +52,8 @@ REPS = 3
 
 
 def main() -> int:
-    fast = build_fastpath_workload(fast_path=True, **WORKLOAD)
-    slow = build_fastpath_workload(fast_path=False, **WORKLOAD)
+    fast = build_fastpath_workload(**WORKLOAD)
+    slow = build_fastpath_workload(ScanNetwork, **WORKLOAD)
     fast_out = publish_loop(fast.network, fast.feed)
     slow_out = publish_loop(slow.network, slow.feed)
     fast_time, slow_time = best_of(
@@ -78,7 +80,7 @@ def main() -> int:
     out.write_text(json.dumps(result, indent=2) + "\n")
     print(json.dumps(result, indent=2))
     if not equivalent:
-        print("FAIL: fast path deliveries/stats differ from the naive path")
+        print("FAIL: production deliveries/stats differ from the scan router")
         return 1
     return 0
 

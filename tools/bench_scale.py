@@ -5,12 +5,13 @@ Three measurements, written to ``BENCH_scale.json`` at the repo root:
 
 * **gate tier** (~10k subscriptions, 300 brokers): the columnar batch
   path (``publish_many`` over contiguous same-stream runs, per-stream
-  routing index on) against the naive per-datagram pre-index scan.
+  routing index on) against the per-datagram scan router
+  (:class:`~repro.sim.oracle.ScanNetwork`).
   This is the CI-gated floor: the columnar path must be at least
   ``GATE_FLOOR``x faster while producing byte-identical deliveries and
   per-link traffic.
 * **scale tier** (10k nodes, 100k subscriptions): columnar-only
-  throughput at the paper's target scale — no naive run (it would take
+  throughput at the paper's target scale — no scan run (it would take
   minutes), just the achievable datagrams/sec and delivery fan-out.
 * **churn**: 100 join/re-weight events on a 10k-node topology
   maintained by :class:`repro.overlay.optimizer.IncrementalOverlay`,
@@ -35,6 +36,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.overlay.optimizer import IncrementalOverlay  # noqa: E402
 from repro.overlay.topology import barabasi_albert  # noqa: E402
+from repro.sim.oracle import ScanNetwork  # noqa: E402
 from repro.workload.bench import (  # noqa: E402
     best_of,
     group_feed,
@@ -69,9 +71,9 @@ REPS = 3
 
 
 def run_gate_tier() -> dict:
-    """Columnar batches vs the naive per-datagram scan at 10k subs."""
-    fast = build_fastpath_workload(fast_path=True, **GATE_TIER)
-    slow = build_fastpath_workload(fast_path=False, **GATE_TIER)
+    """Columnar batches vs the per-datagram scan router at 10k subs."""
+    fast = build_fastpath_workload(**GATE_TIER)
+    slow = build_fastpath_workload(ScanNetwork, **GATE_TIER)
     runs = group_feed(fast.feed)
     fast_out = publish_batched(fast.network, runs)
     slow_out = publish_loop(slow.network, slow.feed)
@@ -100,7 +102,7 @@ def run_gate_tier() -> dict:
 def run_scale_tier() -> dict:
     """Columnar-only throughput at 10k nodes / 100k subscriptions."""
     build_start = time.perf_counter()
-    workload = build_fastpath_workload(fast_path=True, **SCALE_TIER)
+    workload = build_fastpath_workload(**SCALE_TIER)
     build_seconds = time.perf_counter() - build_start
     runs = group_feed(workload.feed)
     deliveries = sum(len(s) for s in publish_batched(workload.network, runs))
@@ -166,7 +168,7 @@ def main() -> int:
     print(json.dumps(result, indent=2))
     failures = []
     if not gate["equivalent"]:
-        failures.append("columnar deliveries/stats differ from the naive path")
+        failures.append("columnar deliveries/stats differ from the scan router")
     if gate["speedup"] < GATE_FLOOR:
         failures.append(
             f"gate-tier speedup {gate['speedup']}x under the {GATE_FLOOR}x floor"
